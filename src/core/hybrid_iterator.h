@@ -6,7 +6,7 @@
 //
 // Snapshot discipline (DESIGN.md §9): all three inputs are pinned at
 // construction — the main-LSM iterator's snapshot, the device iterator's
-// merged view, and a copy of the Metadata Manager's key set for tie
+// merged view, and the Metadata Manager's key-set snapshot for tie
 // arbitration. A rollback draining the device mid-scan therefore cannot
 // drop keys or flip a tie to a side whose copy was already retired; the
 // scan observes the authority map as of its creation.
@@ -17,7 +17,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "core/metadata_manager.h"
@@ -68,7 +67,7 @@ class HybridIterator : public lsm::Iterator {
   std::unique_ptr<lsm::Iterator> main_;
   std::unique_ptr<devlsm::DevLsm::Iterator> dev_;
   // Authority map as of iterator creation (see header comment).
-  std::unordered_set<std::string> md_snapshot_;
+  MetadataManager::KeySnapshot md_snapshot_;
 
   bool valid_ = false;
   bool current_from_dev_ = false;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,7 +36,7 @@ class MetadataManager {
   void Insert(const Slice& key, uint64_t seq) {
     Charge(options_.md_insert_ns);
     stats_->md_inserts++;
-    keys_[key.ToString()] = seq;
+    if (keys_.insert_or_assign(key.ToString(), seq).second) snapshot_.reset();
   }
 
   // Bulk insert for one redirected batch: same per-record hash-table cost as
@@ -45,7 +46,9 @@ class MetadataManager {
     if (recs.empty()) return;
     Charge(options_.md_insert_ns * static_cast<double>(recs.size()));
     stats_->md_inserts += recs.size();
-    for (const auto& [key, seq] : recs) keys_[key] = seq;
+    for (const auto& [key, seq] : recs) {
+      if (keys_.insert_or_assign(key, seq).second) snapshot_.reset();
+    }
   }
 
   // Membership test ("key check").
@@ -68,21 +71,26 @@ class MetadataManager {
   void Delete(const Slice& key) {
     Charge(options_.md_delete_ns);
     stats_->md_deletes++;
-    keys_.erase(key.ToString());
+    if (keys_.erase(key.ToString()) > 0) snapshot_.reset();
   }
 
-  // One-shot copy of the key set, taken when a snapshot iterator is built:
+  // Immutable copy of the key set, taken when a snapshot iterator is built:
   // tie arbitration between the main-LSM and Dev-LSM cursors must use the
   // authority map as of iterator creation, not live state, or a rollback
   // completing mid-scan flips authority under the reader. Charged as one
-  // check (a real store would publish a versioned epoch pointer, not copy).
-  std::unordered_set<std::string> SnapshotKeySet() {
+  // check, like a real store publishing a versioned epoch pointer: the copy
+  // is shared by every iterator built until the key set next changes.
+  using KeySnapshot = std::shared_ptr<const std::unordered_set<std::string>>;
+  KeySnapshot SnapshotKeySet() {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    std::unordered_set<std::string> out;
-    out.reserve(keys_.size());
-    for (const auto& [key, seq] : keys_) out.insert(key);
-    return out;
+    if (snapshot_ == nullptr) {
+      auto keys = std::make_shared<std::unordered_set<std::string>>();
+      keys->reserve(keys_.size());
+      for (const auto& [key, seq] : keys_) keys->insert(key);
+      snapshot_ = std::move(keys);
+    }
+    return snapshot_;
   }
 
   // Uncharged dump of the table for offline integrity checking.
@@ -91,7 +99,10 @@ class MetadataManager {
   }
 
   // Crash simulation: drops the volatile table (paper §VI-D).
-  void LoseAll() { keys_.clear(); }
+  void LoseAll() {
+    keys_.clear();
+    snapshot_.reset();
+  }
 
   size_t Size() const { return keys_.size(); }
   bool Empty() const { return keys_.empty(); }
@@ -108,6 +119,7 @@ class MetadataManager {
   const KvaccelOptions& options_;
   KvaccelStats* stats_;
   std::unordered_map<std::string, uint64_t> keys_;  // key -> host seq
+  KeySnapshot snapshot_;  // cached SnapshotKeySet(); null when stale
 };
 
 }  // namespace kvaccel::core

@@ -2,30 +2,34 @@
 //
 // Every actor in the reproduction — db_bench client threads, the LSM flush
 // and compaction workers, the KVACCEL detector/rollback threads, the SSD
-// firmware — is a *simulated thread*: a real std::thread whose execution is
-// serialized by this scheduler so that exactly one runs at any instant,
-// ordered by virtual wake-up time (ties broken by spawn order). Virtual time
-// is a uint64 nanosecond clock that only the scheduler advances.
+// firmware — is a *simulated thread*: a stackful fiber (a makecontext context
+// on its own mmap'd stack) that runs on the OS thread calling Run(). The
+// scheduler resumes exactly one fiber at a time, ordered by virtual wake-up
+// time (ties broken by spawn order), and a fiber runs until it blocks or
+// sleeps. Virtual time is a uint64 nanosecond clock that only the scheduler
+// advances.
 //
 // This gives three properties the evaluation needs:
 //  1. Determinism — identical runs produce bit-identical time series.
 //  2. Speed — 600 virtual seconds of a 150 Kops/s workload executes in
-//     seconds of wall-clock, because "sleeping" is just a clock jump.
+//     seconds of wall-clock, because "sleeping" is just a clock jump and a
+//     handoff is a user-space context switch, not an OS wakeup.
 //  3. Natural blocking code — LSM/SSD code is written with ordinary
 //     mutex/condvar idioms (SimMutex/SimCondVar), not callbacks.
 //
-// Threads may interact only through the Sim* primitives; plain std::mutex
-// inside simulated code would deadlock the cooperative schedule.
+// Threads may interact only through the Sim* primitives; an OS-level mutex
+// held across a blocking Sim* call would deadlock the cooperative schedule.
+// Independent SimEnvs may be driven concurrently from different OS threads.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <set>
 #include <string>
-#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/units.h"
@@ -55,7 +59,7 @@ class SimEnv {
   SimEnv& operator=(const SimEnv&) = delete;
 
   // Current virtual time in nanoseconds.
-  Nanos Now() const { return now_.load(std::memory_order_relaxed); }
+  Nanos Now() const { return now_; }
 
   // Spawns a simulated thread, ready to run at the current virtual time.
   // Daemon threads do not keep Run() alive: once only daemons remain they
@@ -63,9 +67,11 @@ class SimEnv {
   Thread* Spawn(std::string name, std::function<void()> fn,
                 bool daemon = false);
 
-  // Scheduler loop; call from the owning (non-simulated) thread. Returns when
-  // every non-daemon thread has finished. Throws std::runtime_error on
-  // deadlock (no runnable thread, non-daemon threads still blocked).
+  // Scheduler loop; call from the owning (non-simulated) thread, on which
+  // every simulated thread then runs. Returns when every non-daemon thread
+  // has finished. Throws std::runtime_error on deadlock (no runnable thread,
+  // non-daemon threads still blocked); the destructor then unwinds the
+  // blocked threads.
   void Run();
 
   // ---- Callable only from within simulated threads ----
@@ -80,9 +86,7 @@ class SimEnv {
   // Name of the currently executing simulated thread ("" outside).
   static const std::string& CurrentThreadName();
 
-  bool shutting_down() const {
-    return shutting_down_.load(std::memory_order_relaxed);
-  }
+  bool shutting_down() const { return shutting_down_; }
 
   // Optional fault injector (see sim/fault.h). Not owned; null by default.
   // Components reach it through their SimEnv* so arming faults needs no
@@ -101,47 +105,50 @@ class SimEnv {
   friend class SimCondVar;
 
   enum class State { kReady, kRunning, kBlocked, kDone };
+  struct Fiber;
 
-  void ThreadMain(Thread* t);
-  // Parks the current thread as kBlocked; if `deadline` is non-zero-optional
-  // the scheduler resumes it at that virtual time with timed_out set.
-  // Precondition: caller holds `lock` on mu_. Returns with the lock held and
-  // the thread kRunning again.
-  void BlockCurrentLocked(std::unique_lock<std::mutex>& lock, Thread* self,
-                          bool has_deadline, Nanos deadline);
-  void SleepUntilLocked(std::unique_lock<std::mutex>& lock, Thread* self,
-                        Nanos t);
-  // Moves a blocked thread to kReady at the current time. mu_ must be held.
-  void WakeLocked(Thread* t);
-  // Smallest (time, seq) over runnable candidates other than `exclude`.
-  bool MinCandidateLocked(const Thread* exclude, Nanos* time,
-                          uint64_t* seq) const;
+  static void FiberEntry() noexcept;
+  // Body of every fiber: runs the thread's function, then marks it kDone,
+  // wakes its joiners and switches back to the scheduler for good.
+  [[noreturn]] void FiberMain(Thread* t);
+  // Picks the next thread to run, makes it kRunning and advances the clock
+  // to its key; nullptr when no thread is runnable.
+  Thread* Dispatch();
+  // Scheduler side: switches into `t` (already dispatched) and returns once
+  // control comes back: a fiber finished (its stack is then unmapped) or
+  // found nothing runnable.
+  void Resume(Thread* t);
+  // Fiber side, after parking `self`: hands the OS thread straight to the
+  // next dispatched fiber (or to the scheduler when none is runnable) and
+  // returns once `self` is dispatched again.
+  void Suspend(Thread* self);
+  void Switch(Fiber* from, Fiber* to);
+  // Parks the current thread as kBlocked; with `has_deadline` the scheduler
+  // resumes it at `deadline` with timed_out set. Returns with the thread
+  // kRunning again.
+  void BlockCurrent(Thread* self, bool has_deadline, Nanos deadline);
+  // Moves a blocked thread to kReady at the current time.
+  void Wake(Thread* t);
+  // Marks `t` kReady at `time` and queues it.
+  void MakeReady(Thread* t, Nanos time);
+  void Dequeue(Thread* t);
   void CheckInSimThread() const;
 
-  mutable std::mutex mu_;
-  std::condition_variable sched_cv_;
-  std::vector<std::unique_ptr<Thread>> threads_;
-  std::atomic<Nanos> now_{0};
-  std::atomic<bool> shutting_down_{false};
-  bool running_ = false;
+  std::vector<std::unique_ptr<Thread>> threads_;  // every thread, spawn order
+  // Dispatch candidates keyed by (virtual time, spawn seq): every kReady
+  // thread at its wake time and every timed-out-able kBlocked thread at its
+  // deadline. The running thread is never queued.
+  std::set<std::tuple<Nanos, uint64_t, Thread*>> runq_;
+  size_t live_ = 0;  // threads not yet kDone
+  size_t live_non_daemon_ = 0;
+  Nanos now_ = 0;
+  bool shutting_down_ = false;
   uint64_t next_seq_ = 0;
+  Fiber* sched_ = nullptr;          // context of the active Run()/destructor
+  Fiber* switched_from_ = nullptr;  // context the last Switch() left
+  Thread* finished_ = nullptr;      // done thread whose stack awaits unmap
   FaultInjector* fault_injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-};
-
-struct SimEnv::Thread {
-  std::string name;
-  uint64_t seq = 0;
-  bool daemon = false;
-  std::function<void()> fn;
-  std::thread real;
-  State state = State::kReady;
-  Nanos wake_time = 0;       // when kReady: earliest virtual run time
-  bool has_deadline = false;  // when kBlocked: timed wait in progress
-  Nanos deadline = 0;
-  bool timed_out = false;     // set by scheduler when a timed wait expires
-  std::condition_variable cv;
-  std::deque<Thread*> joiners;
 };
 
 // Cooperative mutex for simulated threads. FIFO handoff keeps scheduling
@@ -159,9 +166,8 @@ class SimMutex {
 
  private:
   friend class SimCondVar;
-  void LockLocked(std::unique_lock<std::mutex>& lock, SimEnv* env,
-                  SimEnv::Thread* self);
-  void UnlockLocked(SimEnv* env);
+  void Acquire(SimEnv* env, SimEnv::Thread* self);
+  void Release(SimEnv* env);
 
   SimEnv::Thread* owner_ = nullptr;
   std::deque<SimEnv::Thread*> waiters_;

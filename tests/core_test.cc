@@ -367,6 +367,42 @@ TEST(KvaccelDbTest, MetadataCostsMatchTableVI) {
   });
 }
 
+// Iterators built while the key set is unchanged share one snapshot; a change
+// gives later iterators a fresh one and leaves earlier ones untouched. Every
+// call still costs one key check.
+TEST(KvaccelDbTest, MetadataSnapshotSharedUntilKeySetChanges) {
+  SimWorld world;
+  world.Run([&] {
+    KvaccelOptions opts = SmallKvOptions();
+    KvaccelStats stats;
+    MetadataManager md(&world.env, world.host_cpu.get(), opts, &stats);
+    md.Insert("a", 1);
+    Nanos t0 = world.env.Now();
+    MetadataManager::KeySnapshot s1 = md.SnapshotKeySet();
+    EXPECT_EQ(world.env.Now() - t0, 200u);
+    MetadataManager::KeySnapshot s2 = md.SnapshotKeySet();
+    EXPECT_EQ(s1, s2);
+    md.Insert("a", 2);  // same key set: the snapshot stays valid
+    EXPECT_EQ(md.SnapshotKeySet(), s1);
+
+    md.InsertBatch({{"b", 3}});
+    MetadataManager::KeySnapshot s3 = md.SnapshotKeySet();
+    EXPECT_NE(s3, s1);
+    EXPECT_EQ(s1->count("b"), 0u);
+    EXPECT_EQ(s3->count("b"), 1u);
+
+    md.Delete("a");
+    MetadataManager::KeySnapshot s4 = md.SnapshotKeySet();
+    EXPECT_EQ(s4->count("a"), 0u);
+    EXPECT_EQ(s3->count("a"), 1u);
+
+    md.LoseAll();
+    EXPECT_TRUE(md.SnapshotKeySet()->empty());
+    EXPECT_EQ(s4->size(), 1u);
+    EXPECT_EQ(stats.md_checks, 6u);
+  });
+}
+
 // Concurrent writers coalesce through the Main-LSM writer queue: the total
 // op count and the sequence space stay exact, while the number of commit
 // groups drops below the number of writes.

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -245,6 +247,124 @@ TEST(SimEnvTest, DeterministicAcrossRuns) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(SimEnvTest, DeadlockedThreadUnwindsWhenEnvDestroyed) {
+  struct Sentinel {
+    bool* unwound;
+    ~Sentinel() { *unwound = true; }
+  };
+  bool unwound = false;
+  {
+    // Declared before the env so they outlive its destructor, which is what
+    // unwinds the stuck thread.
+    SimMutex mu;
+    SimCondVar cv;
+    SimEnv env;
+    env.Spawn("stuck", [&] {
+      Sentinel s{&unwound};
+      SimLockGuard g(mu);
+      cv.Wait(mu);  // nobody will ever notify
+    });
+    EXPECT_THROW(env.Run(), std::runtime_error);
+    EXPECT_FALSE(unwound);
+  }
+  EXPECT_TRUE(unwound);
+}
+
+// A run long enough that two concurrent drivers overlap for many context
+// switches; `start`, when given, lines the drivers up just before Run(). Every
+// step records (thread, virtual time, whether the thread-local "current
+// env/thread" still names this env and thread).
+std::vector<std::string> InterleavingLog(int salt,
+                                         std::latch* start = nullptr) {
+  SimEnv env;
+  SimMutex mu;
+  SimCondVar cv;
+  std::vector<std::string> log;
+  int produced = 0;
+  for (int i = 0; i < 4; i++) {
+    std::string name = "t" + std::to_string(i);
+    env.Spawn(name, [&, i, name] {
+      for (int j = 0; j < 5000; j++) {
+        env.SleepFor(static_cast<Nanos>(1 + (i * 7 + j * salt) % 13));
+        SimLockGuard g(mu);
+        if (i == 0) {
+          produced++;
+          cv.NotifyAll();
+        } else if (produced == 0) {
+          cv.WaitFor(mu, static_cast<Nanos>(5 + i));
+        }
+        bool isolated = SimEnv::Current() == &env &&
+                        SimEnv::CurrentThreadName() == name;
+        log.push_back(name + "@" + std::to_string(env.Now()) +
+                      (isolated ? "" : "!"));
+      }
+    });
+  }
+  if (start != nullptr) start->arrive_and_wait();
+  env.Run();
+  return log;
+}
+
+TEST(SimEnvTest, ConcurrentEnvsOnTwoOsThreadsMatchSerialRuns) {
+  std::vector<std::string> serial_a = InterleavingLog(3);
+  std::vector<std::string> serial_b = InterleavingLog(5);
+  ASSERT_EQ(serial_a.size(), 20000u);
+  ASSERT_NE(serial_a, serial_b);
+  for (const auto& entry : serial_a) ASSERT_NE(entry.back(), '!') << entry;
+
+  std::vector<std::string> parallel_a, parallel_b;
+  std::latch start(2);
+  std::thread ta([&] { parallel_a = InterleavingLog(3, &start); });
+  std::thread tb([&] { parallel_b = InterleavingLog(5, &start); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(parallel_a, serial_a);
+  EXPECT_EQ(parallel_b, serial_b);
+}
+
+TEST(SimEnvTest, ThreadMayUseMegabytesOfStack) {
+  SimEnv env;
+  uint64_t sum = 0;
+  env.Spawn("deep", [&] {
+    constexpr size_t kBytes = size_t{3} << 19;  // 1.5 MB
+    char buf[kBytes];
+    for (size_t i = 0; i < kBytes; i++) buf[i] = static_cast<char>(i * 31);
+    env.SleepFor(10);  // switch out and back with the deep frame live
+    for (size_t i = 0; i < kBytes; i++) {
+      sum += static_cast<unsigned char>(buf[i]);
+    }
+  });
+  env.Spawn("other", [&] { env.SleepFor(5); });
+  env.Run();
+  uint64_t expect = 0;
+  for (size_t i = 0; i < (size_t{3} << 19); i++) {
+    expect += static_cast<unsigned char>(static_cast<char>(i * 31));
+  }
+  EXPECT_EQ(sum, expect);
+}
+
+TEST(SimEnvTest, ManyShortLivedHelpersSpawnAndJoin) {
+  // The subcompaction pattern: a job spawns a few helpers, joins them all,
+  // and repeats; 10 000 helpers in total.
+  SimEnv env;
+  int finished = 0;
+  env.Spawn("job", [&] {
+    for (int round = 0; round < 2500; round++) {
+      std::vector<SimEnv::Thread*> helpers;
+      for (int k = 0; k < 4; k++) {
+        helpers.push_back(env.Spawn("helper", [&, k] {
+          env.SleepFor(static_cast<Nanos>(1 + k));
+          finished++;
+        }));
+      }
+      for (SimEnv::Thread* h : helpers) env.Join(h);
+    }
+  });
+  env.Run();
+  EXPECT_EQ(finished, 10000);
+  EXPECT_EQ(env.Now(), 2500u * 4);
 }
 
 TEST(RateResourceTest, SerializesTransfers) {

@@ -17,6 +17,11 @@ run_pass() {
   cmake --build "${dir}" -j "${JOBS}"
   echo "==== ${name}: ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
+  # Simulation-kernel suite, explicitly: the fiber executor's dispatch order,
+  # shutdown unwinding, thread-local isolation between concurrently driven
+  # envs, deep fiber stacks and mass spawn/join, plus the sim resources.
+  echo "==== ${name}: ctest -L sim ===="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L sim
   # Fault-injection suite, explicitly: all seeds are fixed in the tests, so
   # this is deterministic in both the plain and sanitized builds.
   echo "==== ${name}: ctest -L faults ===="
