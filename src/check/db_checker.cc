@@ -1,9 +1,9 @@
 #include "check/db_checker.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -502,17 +502,25 @@ Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
 // ---------------- Live dual-interface invariant ----------------
 
 void DbChecker::CheckDualInterface(core::KvaccelDB* db, CheckReport* report) {
-  // Newest-version-only device view with host sequence numbers.
-  std::map<std::string, uint64_t> dev_view;
+  // Newest-version-only device view with host sequence numbers. BulkScan
+  // streams each key once, in key order, so the vector is sorted.
+  std::vector<std::pair<std::string, uint64_t>> dev_view;
   if (!db->dev()->Empty()) {
     (void)db->dev()->BulkScan([&](const devlsm::DevLsm::ScanEntry& e) {
-      dev_view[e.key] = e.host_seq;
+      assert(dev_view.empty() || dev_view.back().first < e.key);
+      dev_view.emplace_back(e.key, e.host_seq);
     });
   }
-  std::set<std::string> md_keys;
-  for (const auto& [key, md_seq] : db->metadata()->Entries()) {
-    md_keys.insert(key);
-    auto it = dev_view.find(key);
+  auto by_key = [](const auto& entry, const std::string& key) {
+    return entry.first < key;
+  };
+  auto dev_find = [&](const std::string& key) {
+    auto it = std::lower_bound(dev_view.begin(), dev_view.end(), key, by_key);
+    return it != dev_view.end() && it->first == key ? it : dev_view.end();
+  };
+  const auto md = db->metadata()->Entries();
+  for (const auto& [key, md_seq] : md) {
+    auto it = dev_find(key);
     if (it == dev_view.end()) {
       report->Error("metadata entry not resolvable in Dev-LSM: " + key);
       continue;
@@ -533,12 +541,22 @@ void DbChecker::CheckDualInterface(core::KvaccelDB* db, CheckReport* report) {
                     U64(main_seq) + " >= md seq " + U64(md_seq) + ")");
     }
   }
+  // Metadata keys in key order, for the device-only pass below.
+  std::vector<const std::string*> md_keys;
+  md_keys.reserve(md.size());
+  for (const auto& entry : md) md_keys.push_back(&entry.first);
+  auto key_less = [](const std::string* a, const std::string* b) {
+    return *a < *b;
+  };
+  std::sort(md_keys.begin(), md_keys.end(), key_less);
   // Device entries without a metadata record: fine while superseded by a
   // newer host write (the 3-1 path deleted the record); fatal when the
   // device copy is the newest version — no read path reaches it, and a
   // trusted rollback would drop it.
   for (const auto& [key, host_seq] : dev_view) {
-    if (md_keys.count(key) > 0) continue;
+    if (std::binary_search(md_keys.begin(), md_keys.end(), &key, key_less)) {
+      continue;
+    }
     if (host_seq == 0) {
       report->Warn("unversioned device entry without metadata: " + key);
       continue;

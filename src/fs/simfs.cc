@@ -322,6 +322,9 @@ Status WritableFile::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
   inode_->open_for_write = false;
+  // A closed file is never appended to again: drop the slack that string
+  // growth left behind (up to the file's size again for large SSTs).
+  inode_->data.shrink_to_fit();
   return Status::OK();
 }
 

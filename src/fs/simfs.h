@@ -76,8 +76,9 @@ class WritableFile {
   Status Flush();
   // Flush + device cache flush (fsync).
   Status Sync();
-  // Marks the handle closed. Dirty bytes stay in the page cache (readable,
-  // dropped for free on delete, lost on SimFs::DropAllDirty "power cut").
+  // Marks the handle closed and trims the inode buffer to its size. Dirty
+  // bytes stay in the page cache (readable, dropped for free on delete, lost
+  // on SimFs::DropAllDirty "power cut").
   Status Close();
   // Per-file writeback threshold; kLazyWriteback = only Sync writes back.
   void set_writeback_chunk(uint64_t bytes) { writeback_chunk_ = bytes; }

@@ -310,6 +310,97 @@ TEST(DbCheckerTest, SupersededDeviceResidueIsWarningNotError) {
   });
 }
 
+// Pins the exact text and order of every message CheckDualInterface emits:
+// metadata entries first, in Entries() order, then device-only keys in key
+// order.
+TEST(DbCheckerTest, DualInterfaceMessagesInOrder) {
+  SimWorld world;
+  world.Run([&] {
+    lsm::DbOptions opts = test::SmallDbOptions();
+    core::KvaccelOptions kv_opts;
+    kv_opts.rollback = core::RollbackScheme::kDisabled;
+    std::unique_ptr<core::KvaccelDB> db;
+    ASSERT_TRUE(
+        core::KvaccelDB::Open(opts, kv_opts, world.MakeDbEnv(), &db).ok());
+    auto main_seq = [&](int k) {
+      Value v;
+      lsm::SequenceNumber seq = 0;
+      EXPECT_TRUE(db->main()->GetWithSequence({}, TestKey(k), &v, &seq).ok());
+      return seq;
+    };
+    auto u64 = [](uint64_t v) { return std::to_string(v); };
+
+    // Host writes: key 3 is then claimed by both paths; key 5 is written
+    // after its device copy, which is therefore superseded residue.
+    ASSERT_TRUE(db->dev()->Put(TestKey(5), Value::Synthetic(50, 64), 1).ok());
+    ASSERT_TRUE(db->Put({}, TestKey(3), Value::Synthetic(30, 64)).ok());
+    ASSERT_TRUE(db->Put({}, TestKey(5), Value::Synthetic(51, 64)).ok());
+    const uint64_t main3 = main_seq(3);
+    const uint64_t main5 = main_seq(5);
+    ASSERT_GT(main5, 1u);
+
+    // Metadata side: key 1 has no device copy, key 2's record disagrees
+    // with its device copy, key 3's record is not newer than the host's.
+    const uint64_t seq1 = db->main()->AllocateSequence(1);
+    const uint64_t seq2 = db->main()->AllocateSequence(1);
+    db->metadata()->Insert(TestKey(1), seq1);
+    ASSERT_TRUE(
+        db->dev()->Put(TestKey(2), Value::Synthetic(20, 64), seq2).ok());
+    db->metadata()->Insert(TestKey(2), seq2 + 7);
+    ASSERT_TRUE(db->dev()->Put(TestKey(3), Value::Synthetic(31, 64), main3)
+                    .ok());
+    db->metadata()->Insert(TestKey(3), main3);
+    // Device-only: key 4 holds the newest version, key 6 is unversioned.
+    const uint64_t seq4 = db->main()->AllocateSequence(1);
+    ASSERT_TRUE(
+        db->dev()->Put(TestKey(4), Value::Synthetic(40, 64), seq4).ok());
+    ASSERT_TRUE(db->dev()->Put(TestKey(6), Value::Synthetic(60, 64)).ok());
+
+    std::vector<std::string> want_errors;
+    for (const auto& [key, seq] : db->metadata()->Entries()) {
+      if (key == TestKey(1)) {
+        want_errors.push_back("metadata entry not resolvable in Dev-LSM: " +
+                              key);
+      } else if (key == TestKey(2)) {
+        want_errors.push_back("metadata seq " + u64(seq2 + 7) +
+                              " != device host seq " + u64(seq2) + " for " +
+                              key);
+      } else if (key == TestKey(3)) {
+        want_errors.push_back("key authoritative in both paths: " + key +
+                              " (main seq " + u64(main3) + " >= md seq " +
+                              u64(main3) + ")");
+      } else {
+        ADD_FAILURE() << "unexpected metadata entry " << key;
+      }
+    }
+    ASSERT_EQ(want_errors.size(), 3u);
+    want_errors.push_back("orphaned device entry holds newest version of " +
+                          TestKey(4) + " (host seq " + u64(seq4) +
+                          " > main seq 0) with no metadata record");
+    const std::vector<std::string> want_warnings = {
+        "superseded device residue: " + TestKey(5),
+        "unversioned device entry without metadata: " + TestKey(6)};
+
+    CheckReport report;
+    DbChecker::CheckDualInterface(db.get(), &report);
+    std::vector<std::string> errors, warnings;
+    for (const auto& issue : report.issues) {
+      (issue.severity == check::CheckIssue::Severity::kError ? errors
+                                                             : warnings)
+          .push_back(issue.what);
+    }
+    EXPECT_EQ(errors, want_errors);
+    EXPECT_EQ(warnings, want_warnings);
+    // Device-only messages follow every metadata message.
+    ASSERT_EQ(report.issues.size(), 6u);
+    EXPECT_EQ(report.issues[2].what, want_errors[2]);
+    EXPECT_EQ(report.issues[3].what, want_errors[3]);
+    EXPECT_EQ(report.issues[4].what, want_warnings[0]);
+    EXPECT_EQ(report.issues[5].what, want_warnings[1]);
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
 }  // namespace
 }  // namespace kvaccel
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+
+#include "harness/presets.h"
 #include "sim/sim_env.h"
 #include "ssd/config.h"
 #include "ssd/ftl.h"
@@ -124,6 +129,113 @@ TEST(FtlTest, FullDeviceReportsNoSpace) {
   ASSERT_TRUE(s.ok());
   s = ftl.Write(0, 64);  // rewrite needs headroom that 0% OP can't provide
   EXPECT_TRUE(s.IsNoSpace() || s.ok());
+}
+
+// The tables encode ppn + 1 and lpn + 2, so page 0 on both sides must stay
+// distinguishable from "unmapped" and "free".
+TEST(FtlTest, FirstWriteMapsLpnZeroToPpnZero) {
+  Ftl::Options opt;
+  opt.logical_pages = 64;
+  opt.pages_per_block = 4;
+  Ftl ftl(opt, nullptr);
+  EXPECT_FALSE(ftl.IsMapped(0));
+  ASSERT_TRUE(ftl.Write(0, 1).ok());  // lpn 0 -> ppn 0
+  EXPECT_TRUE(ftl.IsMapped(0));
+  EXPECT_FALSE(ftl.IsMapped(1));
+  EXPECT_EQ(ftl.valid_pages(), 1u);
+  ASSERT_TRUE(ftl.Write(0, 1).ok());  // ppn 0 goes stale, lpn 0 -> ppn 1
+  EXPECT_TRUE(ftl.IsMapped(0));
+  EXPECT_EQ(ftl.valid_pages(), 1u);
+  ASSERT_TRUE(ftl.Trim(0, 1).ok());
+  EXPECT_FALSE(ftl.IsMapped(0));
+  EXPECT_EQ(ftl.valid_pages(), 0u);
+  ASSERT_TRUE(ftl.Trim(0, 1).ok());  // already unmapped
+  EXPECT_EQ(ftl.valid_pages(), 0u);
+  ASSERT_TRUE(ftl.Write(0, 1).ok());
+  EXPECT_TRUE(ftl.IsMapped(0));
+  EXPECT_EQ(ftl.valid_pages(), 1u);
+}
+
+// 8 logical pages in 4 physical blocks of 4 pages (the 2-block floor of
+// spare), GC below 2 free blocks. After Write(0, 8) fills blocks 0 and 1,
+// overwriting lpns 1..6 forces GC: block 0 holds only lpn 0 and is the first
+// victim, block 1 then holds lpns 5..7 and is the second, so both the first
+// and the last lpn are relocated, and block 0 is reused from ppn 0 on.
+TEST(FtlTest, GcRelocatesFirstAndLastLpn) {
+  Ftl::Options opt;
+  opt.logical_pages = 8;
+  opt.pages_per_block = 4;
+  opt.overprovision = 0.0;
+  uint64_t gc_pages = 0, gc_blocks = 0;
+  Ftl ftl(opt, [&](uint64_t p, uint64_t b) {
+    gc_pages += p;
+    gc_blocks += b;
+  });
+  EXPECT_EQ(ftl.physical_blocks(), 4u);
+  EXPECT_EQ(ftl.free_blocks(), 4u);
+  ASSERT_TRUE(ftl.Write(0, 8).ok());
+  EXPECT_EQ(ftl.free_blocks(), 2u);
+  EXPECT_EQ(ftl.valid_pages(), 8u);
+  EXPECT_EQ(ftl.gc_runs(), 0u);
+  ASSERT_TRUE(ftl.Write(1, 6).ok());
+  // The first two runs move lpn 0, then lpns 5..7; pinned totals follow.
+  EXPECT_EQ(ftl.gc_runs(), 5u);
+  EXPECT_EQ(ftl.relocated_pages(), 15u);
+  EXPECT_EQ(ftl.erased_blocks(), 5u);
+  EXPECT_EQ(ftl.free_blocks(), 1u);
+  EXPECT_EQ(gc_pages, ftl.relocated_pages());
+  EXPECT_EQ(gc_blocks, ftl.erased_blocks());
+  EXPECT_EQ(ftl.valid_pages(), 8u);
+  for (uint64_t l = 0; l < 8; l++) EXPECT_TRUE(ftl.IsMapped(l)) << l;
+  EXPECT_DOUBLE_EQ(ftl.write_amplification(),
+                   static_cast<double>(14 + ftl.relocated_pages()) / 14.0);
+
+  // The relocated mappings must point at live pages: trimming them updates
+  // the valid counts, and the freed space is reusable.
+  ASSERT_TRUE(ftl.Trim(0, 1).ok());
+  ASSERT_TRUE(ftl.Trim(7, 1).ok());
+  EXPECT_FALSE(ftl.IsMapped(0));
+  EXPECT_FALSE(ftl.IsMapped(7));
+  EXPECT_EQ(ftl.valid_pages(), 6u);
+  for (int round = 0; round < 20; round++) {
+    ASSERT_TRUE(ftl.Write(0, 8).ok()) << "round " << round;
+    ASSERT_TRUE(ftl.Trim(0, 1).ok());
+    ASSERT_TRUE(ftl.Trim(7, 1).ok());
+  }
+  EXPECT_EQ(ftl.valid_pages(), 6u);
+  EXPECT_EQ(ftl.gc_runs(), 104u);
+  EXPECT_EQ(ftl.relocated_pages(), 251u);
+  EXPECT_EQ(ftl.free_blocks(), 1u);
+  EXPECT_EQ(gc_pages, ftl.relocated_pages());
+  EXPECT_EQ(gc_blocks, ftl.erased_blocks());
+}
+
+// Resident set of this process in bytes (VmRSS), or 0 if unavailable.
+uint64_t VmRssBytes() {
+  FILE* f = fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  uint64_t kb = 0;
+  while (fgets(line, sizeof(line), f) != nullptr) {
+    if (sscanf(line, "VmRSS: %" SCNu64 " kB", &kb) == 1) break;
+  }
+  fclose(f);
+  return kb * 1024;
+}
+
+// The FTL tables of the paper's 256 GB device (a 192 GB block region, about
+// 830 MB of page tables) are committed only as pages are written, so
+// building the device costs almost no resident memory.
+TEST(HybridSsdTest, PaperScaleConstructionStaysSmall) {
+  const uint64_t before = VmRssBytes();
+  ASSERT_GT(before, 0u);
+  sim::SimEnv env;
+  HybridSsd ssd(&env, harness::PaperSsdConfig(1.0));
+  const uint64_t after = VmRssBytes();
+  EXPECT_EQ(ssd.BlockCapacitySectors(0), (192ull << 30) / 4096);
+  EXPECT_LT(after - std::min(after, before), 64ull << 20)
+      << "constructing the device raised VmRSS by "
+      << (after - std::min(after, before)) / (1 << 20) << " MB";
 }
 
 TEST(HybridSsdTest, BlockIoMovesPcieAndNandTraffic) {

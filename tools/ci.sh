@@ -365,6 +365,12 @@ EOF
     "kvaccel-ha-partition=${out_dir}/smoke_ha_partition.json" \
     "kvaccel-ndp=${out_dir}/smoke_ndp_auto.json" \
     "kvaccel-openloop=${out_dir}/smoke_openloop.json"
+  # Host-plane record: wall seconds, voluntary context switches and peak RSS
+  # of the fillrandom smoke, the shards=4 smoke and paper-scale (--scale=1.0)
+  # fillrandom with and without --ha. Host times are recorded, not gated
+  # (they are noisy); each paper-scale run's peak RSS must stay below 256 MB.
+  echo "==== bench smoke: host-plane record (BENCH_wall.json) ===="
+  python3 tools/bench_wall.py "${dir}" BENCH_wall.json
 }
 
 mode="${1:-all}"
