@@ -9,14 +9,12 @@
 // Two views are produced:
 //  1. Virtual-cost verification: the simulation charges exactly the paper's
 //     measured costs — asserted by driving the real modules in a SimEnv.
-//  2. google-benchmark microbenchmarks of the underlying host data
-//     structures (hash-table insert/check/delete, detector signal read),
-//     demonstrating the costs are of the right physical magnitude on real
-//     hardware too.
+//  2. google-benchmark microbenchmarks of core::MetadataTable, the hash
+//     table the Metadata Manager keeps (insert/check/delete), demonstrating
+//     the costs are of the right physical magnitude on real hardware too.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <unordered_map>
 
 #include "core/detector.h"
 #include "core/kvaccel_db.h"
@@ -38,10 +36,10 @@ std::string BenchKey(uint64_t i) {
 }
 
 void BM_MetadataInsert(benchmark::State& state) {
-  std::unordered_map<std::string, uint64_t> table;
+  core::MetadataTable table;
   uint64_t i = 0;
   for (auto _ : state) {
-    table[BenchKey(i & 0xfffff)] = i;
+    benchmark::DoNotOptimize(table.InsertOrAssign(BenchKey(i & 0xfffff), i));
     i++;
   }
   state.SetItemsProcessed(static_cast<int64_t>(i));
@@ -49,12 +47,12 @@ void BM_MetadataInsert(benchmark::State& state) {
 BENCHMARK(BM_MetadataInsert);
 
 void BM_MetadataCheck(benchmark::State& state) {
-  std::unordered_map<std::string, uint64_t> table;
-  for (uint64_t i = 0; i < 100000; i++) table[BenchKey(i)] = i;
+  core::MetadataTable table;
+  for (uint64_t i = 0; i < 100000; i++) table.InsertOrAssign(BenchKey(i), i);
   uint64_t i = 0;
   bool found = false;
   for (auto _ : state) {
-    found ^= table.count(BenchKey(i++ % 200000)) > 0;
+    found ^= table.Find(BenchKey(i++ % 200000)) != nullptr;
   }
   benchmark::DoNotOptimize(found);
   state.SetItemsProcessed(static_cast<int64_t>(i));
@@ -62,15 +60,17 @@ void BM_MetadataCheck(benchmark::State& state) {
 BENCHMARK(BM_MetadataCheck);
 
 void BM_MetadataDelete(benchmark::State& state) {
-  std::unordered_map<std::string, uint64_t> table;
+  core::MetadataTable table;
   uint64_t i = 0;
+  bool erased = false;
   for (auto _ : state) {
     state.PauseTiming();
     std::string key = BenchKey(i++);
-    table[key] = i;
+    table.InsertOrAssign(key, i);
     state.ResumeTiming();
-    table.erase(key);
+    erased ^= table.Erase(key);
   }
+  benchmark::DoNotOptimize(erased);
 }
 BENCHMARK(BM_MetadataDelete);
 

@@ -1,6 +1,13 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#include "common/crc32c_internal.h"
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace kvaccel::crc32c {
 namespace {
@@ -22,15 +29,61 @@ struct Table {
 
 const Table kTable;
 
+#if defined(__x86_64__)
+bool DetectHardware() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#else
+bool DetectHardware() { return false; }
+#endif
+
+// Chosen once, at static init, from CPUID.
+const bool kHardware = DetectHardware();
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   uint32_t crc = init_crc ^ 0xffffffffu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; i++) {
     crc = kTable.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+bool HardwareAvailable() { return kHardware; }
+
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected Castagnoli CRC,
+// eight bytes per instruction; unaligned loads are fine on x86.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t init_crc,
+                                                          const char* data,
+                                                          size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; n--, p++) crc32 = _mm_crc32_u8(crc32, *p);
+  return crc32 ^ 0xffffffffu;
+}
+#else
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+  return ExtendPortable(init_crc, data, n);
+}
+#endif
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  return kHardware ? internal::ExtendHardware(init_crc, data, n)
+                   : internal::ExtendPortable(init_crc, data, n);
 }
 
 }  // namespace kvaccel::crc32c

@@ -8,14 +8,16 @@
 // a crash loses it, and recovery rebuilds from a full Dev-LSM scan (§VI-D).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/slice.h"
 #include "common/units.h"
 #include "core/config.h"
@@ -23,6 +25,139 @@
 #include "sim/sim_env.h"
 
 namespace kvaccel::core {
+
+// 32-bit hash of a metadata key: it picks the home slot and is the slot's
+// tag. Seeded apart from the shard router's Hash64(key) % N, so one shard's
+// keys do not share their low bits.
+struct MetadataKeyHash {
+  uint32_t operator()(std::string_view key) const {
+    return static_cast<uint32_t>(
+        Hash64(key.data(), key.size(), 0x6d645f7461626c65ull) >> 32);
+  }
+};
+
+// The Metadata Manager's hash table: user key -> host sequence number.
+// Entries live in a dense vector; an open-addressing index of 8-byte slots
+// {entry index + 1 (0 = empty), hash tag} finds them by linear probing, and
+// a tag match is confirmed by comparing the key. Erase removes by
+// backward-shift (no tombstones) and fills the entry's hole with the last
+// entry, so entries() is insertion order perturbed by erases.
+template <typename Hash = MetadataKeyHash>
+class BasicMetadataTable {
+ public:
+  using Entry = std::pair<std::string, uint64_t>;
+
+  BasicMetadataTable() { Clear(); }
+
+  // Maps `key` to `seq`, overwriting an existing mapping; true when `key`
+  // was absent.
+  bool InsertOrAssign(std::string_view key, uint64_t seq) {
+    const uint32_t tag = hash_(key);
+    size_t i = Probe(key, tag);
+    if (slots_[i].entry != 0) {
+      entries_[slots_[i].entry - 1].second = seq;
+      return false;
+    }
+    if ((entries_.size() + 1) * 4 > slots_.size() * 3) {
+      Grow();
+      i = FirstEmpty(tag);
+    }
+    entries_.emplace_back(key, seq);
+    slots_[i] = {static_cast<uint32_t>(entries_.size()), tag};
+    return true;
+  }
+
+  // The mapped sequence number, or null when `key` is absent. Valid until
+  // the table next changes.
+  const uint64_t* Find(std::string_view key) const {
+    const Slot& slot = slots_[Probe(key, hash_(key))];
+    return slot.entry == 0 ? nullptr : &entries_[slot.entry - 1].second;
+  }
+
+  // Removes `key`; true when it was present.
+  bool Erase(std::string_view key) {
+    size_t hole = Probe(key, hash_(key));
+    const uint32_t entry = slots_[hole].entry;
+    if (entry == 0) return false;
+    const auto last = static_cast<uint32_t>(entries_.size());
+    if (entry != last) {
+      slots_[SlotOf(last)].entry = entry;
+      entries_[entry - 1] = std::move(entries_.back());
+    }
+    entries_.pop_back();
+    // Backward-shift: pull each later slot of the run into the hole unless
+    // its home lies cyclically in (hole, j].
+    for (size_t j = (hole + 1) & mask_; slots_[j].entry != 0;
+         j = (j + 1) & mask_) {
+      const size_t home = slots_[j].tag & mask_;
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    return true;
+  }
+
+  // Drops every entry and releases the memory.
+  void Clear() {
+    entries_ = {};
+    slots_ = std::vector<Slot>(kMinSlots);
+    mask_ = kMinSlots - 1;
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+ private:
+  struct Slot {
+    uint32_t entry = 0;  // index into entries_ + 1; 0 = empty
+    uint32_t tag = 0;    // hash_(key)
+  };
+  static_assert(sizeof(Slot) == 8);
+  static constexpr size_t kMinSlots = 16;
+
+  // The slot holding `key`, or the empty slot that ends its probe run. The
+  // load factor stays at or below 3/4, so an empty slot always exists.
+  size_t Probe(std::string_view key, uint32_t tag) const {
+    for (size_t i = tag & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.entry == 0) return i;
+      if (slot.tag == tag && entries_[slot.entry - 1].first == key) return i;
+    }
+  }
+
+  size_t FirstEmpty(uint32_t tag) const {
+    size_t i = tag & mask_;
+    while (slots_[i].entry != 0) i = (i + 1) & mask_;
+    return i;
+  }
+
+  // The slot pointing at entry number `entry` (index + 1).
+  size_t SlotOf(uint32_t entry) const {
+    size_t i = hash_(entries_[entry - 1].first) & mask_;
+    while (slots_[i].entry != entry) i = (i + 1) & mask_;
+    return i;
+  }
+
+  void Grow() {
+    assert(slots_.size() <= (size_t{1} << 31));
+    std::vector<Slot> old = std::move(slots_);
+    slots_ = std::vector<Slot>(old.size() * 2);
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.entry != 0) slots_[FirstEmpty(slot.tag)] = slot;
+    }
+  }
+
+  [[no_unique_address]] Hash hash_;
+  std::vector<Entry> entries_;
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
+
+using MetadataTable = BasicMetadataTable<>;
 
 class MetadataManager {
  public:
@@ -36,7 +171,7 @@ class MetadataManager {
   void Insert(const Slice& key, uint64_t seq) {
     Charge(options_.md_insert_ns);
     stats_->md_inserts++;
-    if (keys_.insert_or_assign(key.ToString(), seq).second) snapshot_.reset();
+    if (keys_.InsertOrAssign(key.view(), seq)) snapshot_.reset();
   }
 
   // Bulk insert for one redirected batch: same per-record hash-table cost as
@@ -47,7 +182,7 @@ class MetadataManager {
     Charge(options_.md_insert_ns * static_cast<double>(recs.size()));
     stats_->md_inserts += recs.size();
     for (const auto& [key, seq] : recs) {
-      if (keys_.insert_or_assign(key, seq).second) snapshot_.reset();
+      if (keys_.InsertOrAssign(key, seq)) snapshot_.reset();
     }
   }
 
@@ -55,7 +190,7 @@ class MetadataManager {
   bool Check(const Slice& key) {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    return keys_.count(key.ToString()) > 0;
+    return keys_.Find(key.view()) != nullptr;
   }
 
   // Sequence of the recorded device-side version; 0 when absent. Costs a
@@ -63,15 +198,15 @@ class MetadataManager {
   uint64_t GetSeq(const Slice& key) {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    auto it = keys_.find(key.ToString());
-    return it == keys_.end() ? 0 : it->second;
+    const uint64_t* seq = keys_.Find(key.view());
+    return seq == nullptr ? 0 : *seq;
   }
 
   // Removes the record (newest version is now in Main-LSM, or rolled back).
   void Delete(const Slice& key) {
     Charge(options_.md_delete_ns);
     stats_->md_deletes++;
-    if (keys_.erase(key.ToString()) > 0) snapshot_.reset();
+    if (keys_.Erase(key.view())) snapshot_.reset();
   }
 
   // Immutable copy of the key set, taken when a snapshot iterator is built:
@@ -87,20 +222,21 @@ class MetadataManager {
     if (snapshot_ == nullptr) {
       auto keys = std::make_shared<std::unordered_set<std::string>>();
       keys->reserve(keys_.size());
-      for (const auto& [key, seq] : keys_) keys->insert(key);
+      for (const auto& [key, seq] : keys_.entries()) keys->insert(key);
       snapshot_ = std::move(keys);
     }
     return snapshot_;
   }
 
-  // Uncharged dump of the table for offline integrity checking.
+  // Uncharged dump of the table for offline integrity checking, in the
+  // table's dense order.
   std::vector<std::pair<std::string, uint64_t>> Entries() const {
-    return {keys_.begin(), keys_.end()};
+    return keys_.entries();
   }
 
   // Crash simulation: drops the volatile table (paper §VI-D).
   void LoseAll() {
-    keys_.clear();
+    keys_.Clear();
     snapshot_.reset();
   }
 
@@ -118,7 +254,7 @@ class MetadataManager {
   sim::CpuPool* cpu_;
   const KvaccelOptions& options_;
   KvaccelStats* stats_;
-  std::unordered_map<std::string, uint64_t> keys_;  // key -> host seq
+  MetadataTable keys_;  // key -> host seq
   KeySnapshot snapshot_;  // cached SnapshotKeySet(); null when stale
 };
 

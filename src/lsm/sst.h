@@ -145,6 +145,7 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
 // Parses the entries of one data block (used by reader and its iterator).
 class BlockEntryCursor {
  public:
+  BlockEntryCursor() = default;  // empty: Next() returns false
   explicit BlockEntryCursor(Slice contents) : input_(contents) {}
 
   // Advances to the next entry; false at end or on corruption.

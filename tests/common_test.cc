@@ -6,6 +6,7 @@
 #include "common/arena.h"
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/crc32c_internal.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -168,6 +169,96 @@ TEST(Crc32cTest, ExtendMatchesWhole) {
   uint32_t part = crc32c::Value(data.data(), 10);
   part = crc32c::Extend(part, data.data() + 10, data.size() - 10);
   EXPECT_EQ(whole, part);
+}
+
+// Both implementations behind Extend(): the portable table loop always, the
+// crc32 instruction where the CPU has it.
+std::vector<uint32_t (*)(uint32_t, const char*, size_t)> Crc32cPaths() {
+  std::vector<uint32_t (*)(uint32_t, const char*, size_t)> paths = {
+      crc32c::internal::ExtendPortable};
+  if (crc32c::internal::HardwareAvailable()) {
+    paths.push_back(crc32c::internal::ExtendHardware);
+  }
+  return paths;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Random64 rnd(seed);
+  std::string s(n, '\0');
+  for (auto& c : s) c = static_cast<char>(rnd.Uniform(256));
+  return s;
+}
+
+TEST(Crc32cTest, KnownValuesOnEveryPath) {
+  std::string ones(32, '\xff'), ascending(32, 0), descending(32, 0);
+  for (int i = 0; i < 32; i++) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  for (auto extend : Crc32cPaths()) {
+    EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u);
+    EXPECT_EQ(extend(0, std::string(32, '\0').data(), 32), 0x8a9136aau);
+    EXPECT_EQ(extend(0, ones.data(), 32), 0x62a8ab43u);
+    EXPECT_EQ(extend(0, ascending.data(), 32), 0x46dd794eu);
+    EXPECT_EQ(extend(0, descending.data(), 32), 0x113fdb5cu);
+    EXPECT_EQ(extend(0, "", 0), 0u);
+  }
+}
+
+// Extend() uses the instruction exactly when the CPU reports SSE4.2.
+TEST(Crc32cTest, ExtendUsesTheDetectedPath) {
+#if defined(__x86_64__)
+  EXPECT_EQ(crc32c::internal::HardwareAvailable(),
+            static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#endif
+  const std::string data = RandomBytes(1000, 3);
+  const uint32_t want =
+      crc32c::internal::ExtendPortable(7, data.data(), data.size());
+  EXPECT_EQ(crc32c::Extend(7, data.data(), data.size()), want);
+  if (crc32c::internal::HardwareAvailable()) {
+    EXPECT_EQ(crc32c::internal::ExtendHardware(7, data.data(), data.size()),
+              want);
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndAlignment) {
+  if (!crc32c::internal::HardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2; only the portable path exists";
+  }
+  const std::string buf = RandomBytes(4096 + 8, 11);
+  int mismatches = 0;
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t len = 0; len <= 4096; len++) {
+      const char* p = buf.data() + align;
+      uint32_t sw = crc32c::internal::ExtendPortable(0, p, len);
+      uint32_t hw = crc32c::internal::ExtendHardware(0, p, len);
+      if (sw != hw && mismatches++ < 5) {
+        ADD_FAILURE() << "align " << align << " len " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Any split of a buffer, on either path or mixing the two, extends to the
+// crc of the whole.
+TEST(Crc32cTest, ExtendAgreesAcrossSplitPoints) {
+  const std::string data = RandomBytes(300, 5);
+  const uint32_t whole =
+      crc32c::internal::ExtendPortable(0, data.data(), data.size());
+  const auto paths = Crc32cPaths();
+  for (size_t split = 0; split <= data.size(); split++) {
+    for (auto first : paths) {
+      for (auto second : paths) {
+        uint32_t crc = first(0, data.data(), split);
+        crc = second(crc, data.data() + split, data.size() - split);
+        ASSERT_EQ(crc, whole) << "split " << split;
+      }
+    }
+    uint32_t crc = crc32c::Value(data.data(), split);
+    EXPECT_EQ(crc32c::Extend(crc, data.data() + split, data.size() - split),
+              whole);
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

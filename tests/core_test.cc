@@ -4,9 +4,14 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/random.h"
 #include "core/kvaccel_db.h"
+#include "core/metadata_manager.h"
 #include "tests/test_util.h"
 
 namespace kvaccel::core {
@@ -400,6 +405,147 @@ TEST(KvaccelDbTest, MetadataSnapshotSharedUntilKeySetChanges) {
     EXPECT_TRUE(md.SnapshotKeySet()->empty());
     EXPECT_EQ(s4->size(), 1u);
     EXPECT_EQ(stats.md_checks, 6u);
+  });
+}
+
+using KeySeqModel = std::unordered_map<std::string, uint64_t>;
+
+// Home slots among the last four of the table (for tables up to 2^20 slots),
+// so probe runs are long and wrap past the end; the 12 tag bits above still
+// tell most keys apart, and equal tags force key compares.
+struct CollidingHash {
+  uint32_t operator()(std::string_view key) const {
+    const uint32_t h = MetadataKeyHash()(key);
+    return (h & 0xfff00000u) | 0xffffcu | (h & 3u);
+  }
+};
+
+template <typename Table>
+void ExpectTableMatchesModel(const Table& table, const KeySeqModel& model) {
+  ASSERT_EQ(table.size(), model.size());
+  KeySeqModel entries(table.entries().begin(), table.entries().end());
+  EXPECT_EQ(entries.size(), table.entries().size()) << "duplicate entries";
+  EXPECT_EQ(entries, model);
+  for (const auto& [key, seq] : model) {
+    const uint64_t* found = table.Find(key);
+    ASSERT_NE(found, nullptr) << key;
+    EXPECT_EQ(*found, seq) << key;
+  }
+}
+
+// Every key in one wrapped probe run: inserts, overwrites, finds and erases
+// from anywhere in the run (backward shift), across growths and a Clear.
+TEST(MetadataTableTest, CollidingKeysMatchModel) {
+  BasicMetadataTable<CollidingHash> table;
+  KeySeqModel model;
+  Random64 rnd(77);
+  for (int op = 0; op < 20000; op++) {
+    const std::string key = "c" + std::to_string(rnd.Uniform(300));
+    const uint64_t r = rnd.Uniform(3);
+    if (r == 0) {
+      ASSERT_EQ(table.Erase(key), model.erase(key) > 0) << key;
+    } else if (r == 1) {
+      const uint64_t seq = rnd.Next();
+      ASSERT_EQ(table.InsertOrAssign(key, seq),
+                model.insert_or_assign(key, seq).second)
+          << key;
+    } else {
+      const uint64_t* found = table.Find(key);
+      auto it = model.find(key);
+      ASSERT_EQ(found != nullptr, it != model.end()) << key;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << key;
+      }
+    }
+    if (op % 25 == 0) ExpectTableMatchesModel(table, model);
+    if (op == 12000) {
+      table.Clear();
+      model.clear();
+    }
+  }
+  ExpectTableMatchesModel(table, model);
+}
+
+// ~100k random calls through MetadataManager against a std::unordered_map:
+// short (SSO) and long keys, many table growths, LoseAll then reuse. Every
+// call keeps its Table VI virtual cost and md_* count.
+TEST(KvaccelDbTest, MetadataManagerMatchesModel) {
+  SimWorld world;
+  world.Run([&] {
+    KvaccelOptions opts = SmallKvOptions();
+    KvaccelStats stats;
+    MetadataManager md(&world.env, world.host_cpu.get(), opts, &stats);
+    KeySeqModel model;
+    Random64 rnd(2024);
+    const std::string long_prefix(40, 'L');
+    auto random_key = [&] {
+      const uint64_t k = rnd.Uniform(30000);
+      return (k % 2 == 0 ? std::string("s") : long_prefix) + std::to_string(k);
+    };
+    uint64_t inserts = 0, checks = 0, deletes = 0;
+    auto verify = [&] {
+      const auto entries = md.Entries();
+      EXPECT_EQ(entries.size(), model.size());
+      EXPECT_EQ(KeySeqModel(entries.begin(), entries.end()), model);
+      std::unordered_set<std::string> keys;
+      for (const auto& [key, seq] : model) keys.insert(key);
+      EXPECT_EQ(*md.SnapshotKeySet(), keys);
+      checks++;
+    };
+    for (int op = 0; op < 100000; op++) {
+      const Nanos t0 = world.env.Now();
+      Nanos cost = 0;
+      const uint64_t r = rnd.Uniform(100);
+      if (r < 30) {
+        const std::string key = random_key();
+        const uint64_t seq = 1 + rnd.Uniform(uint64_t{1} << 40);
+        md.Insert(key, seq);
+        model.insert_or_assign(key, seq);
+        inserts++;
+        cost = 450;
+      } else if (r < 40) {
+        std::vector<std::pair<std::string, uint64_t>> recs(1 + rnd.Uniform(8));
+        for (auto& [key, seq] : recs) {
+          key = random_key();
+          seq = 1 + rnd.Uniform(uint64_t{1} << 40);
+          model.insert_or_assign(key, seq);
+        }
+        md.InsertBatch(recs);
+        inserts += recs.size();
+        cost = static_cast<Nanos>(450 * recs.size());
+      } else if (r < 60) {
+        const std::string key = random_key();
+        ASSERT_EQ(md.Check(key), model.count(key) > 0) << key;
+        checks++;
+        cost = 200;
+      } else if (r < 75) {
+        const std::string key = random_key();
+        auto it = model.find(key);
+        ASSERT_EQ(md.GetSeq(key), it == model.end() ? 0 : it->second) << key;
+        checks++;
+        cost = 200;
+      } else {
+        const std::string key = random_key();
+        md.Delete(key);
+        model.erase(key);
+        deletes++;
+        cost = 280;
+      }
+      ASSERT_EQ(world.env.Now() - t0, cost) << "op " << op;
+      ASSERT_EQ(md.Size(), model.size()) << "op " << op;
+      if (op == 60000) {
+        verify();
+        md.LoseAll();
+        model.clear();
+        EXPECT_TRUE(md.Empty());
+        EXPECT_TRUE(md.Entries().empty());
+      }
+    }
+    verify();
+    EXPECT_GT(model.size(), 10000u);
+    EXPECT_EQ(stats.md_inserts, inserts);
+    EXPECT_EQ(stats.md_checks, checks);
+    EXPECT_EQ(stats.md_deletes, deletes);
   });
 }
 

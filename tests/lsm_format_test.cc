@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "lsm/bloom.h"
 #include "lsm/cache.h"
 #include "lsm/dbformat.h"
+#include "lsm/iterator.h"
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
 #include "lsm/write_batch.h"
@@ -280,6 +283,207 @@ TEST(BlockCacheTest, Erase) {
   cache.Erase(3, 7);
   EXPECT_EQ(cache.Lookup(3, 7), nullptr);
   EXPECT_EQ(cache.usage(), 0u);
+}
+
+// ---------------- MergingIterator ----------------
+
+// A sorted in-memory child. Positions at or past `fail_at` are an I/O
+// error: the child is invalid there and status() reports it.
+class VectorIterator : public Iterator {
+ public:
+  using Entries = std::vector<std::pair<std::string, std::string>>;
+  VectorIterator(Entries entries, size_t fail_at, int* nexts)
+      : entries_(std::move(entries)), fail_at_(fail_at), nexts_(nexts) {}
+
+  bool Valid() const override {
+    return pos_ < entries_.size() && pos_ < fail_at_;
+  }
+  void SeekToFirst() override { pos_ = 0; }
+  void Seek(const Slice& target) override {
+    InternalKeyComparator cmp;
+    pos_ = 0;
+    while (pos_ < entries_.size() &&
+           cmp.Compare(entries_[pos_].first, target) < 0) {
+      pos_++;
+    }
+  }
+  void Next() override {
+    ASSERT_TRUE(Valid());
+    pos_++;
+    (*nexts_)++;
+  }
+  Slice key() const override { return entries_[pos_].first; }
+  Slice value() const override { return entries_[pos_].second; }
+  Status status() const override {
+    return pos_ >= fail_at_ ? Status::IOError("child failed") : Status::OK();
+  }
+
+ private:
+  Entries entries_;
+  size_t fail_at_;
+  size_t pos_ = 0;
+  int* nexts_;
+};
+
+struct MergeCase {
+  std::vector<VectorIterator::Entries> children;
+  std::vector<size_t> fail_at;  // SIZE_MAX: never fails
+};
+
+// Random children over a small internal-key space, so the same internal key
+// often appears in several children. Some children are empty, some fail
+// from the start, some fail part-way through.
+MergeCase RandomMergeCase(Random64* rnd) {
+  InternalKeyComparator cmp;
+  MergeCase mc;
+  const size_t n = rnd->Uniform(9);
+  for (size_t c = 0; c < n; c++) {
+    std::vector<std::string> keys;
+    const size_t len = rnd->OneIn(5) ? 0 : rnd->Uniform(40);
+    for (size_t i = 0; i < len; i++) {
+      std::string ikey;
+      AppendInternalKey(&ikey, "key" + std::to_string(rnd->Uniform(30)),
+                        1 + rnd->Uniform(3), ValueType::kValue);
+      keys.push_back(ikey);
+    }
+    std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
+      return cmp.Compare(a, b) < 0;
+    });
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    VectorIterator::Entries entries;
+    for (size_t i = 0; i < keys.size(); i++) {
+      entries.emplace_back(keys[i], "c" + std::to_string(c) + "#" +
+                                        std::to_string(i));
+    }
+    size_t fail_at = SIZE_MAX;
+    if (rnd->OneIn(6)) fail_at = 0;
+    if (rnd->OneIn(6)) fail_at = rnd->Uniform(entries.size() + 1);
+    mc.children.push_back(std::move(entries));
+    mc.fail_at.push_back(fail_at);
+  }
+  return mc;
+}
+
+using MergedEntries = std::vector<std::pair<std::string, std::string>>;
+
+// Reference: every entry a child can yield at or after `target` (all when
+// null), stably ordered by internal key, so equal keys keep child order.
+MergedEntries ReferenceMerge(const MergeCase& mc, const std::string* target) {
+  InternalKeyComparator cmp;
+  MergedEntries all;
+  for (size_t c = 0; c < mc.children.size(); c++) {
+    const auto& entries = mc.children[c];
+    for (size_t i = 0; i < entries.size(); i++) {
+      if (target != nullptr && cmp.Compare(entries[i].first, *target) < 0) {
+        continue;
+      }
+      if (i >= mc.fail_at[c]) break;
+      all.push_back(entries[i]);
+    }
+  }
+  std::stable_sort(all.begin(), all.end(), [&](const auto& a, const auto& b) {
+    return cmp.Compare(a.first, b.first) < 0;
+  });
+  return all;
+}
+
+std::unique_ptr<MergingIterator<InternalKeyComparator>> BuildMerge(
+    const MergeCase& mc, int* nexts) {
+  std::vector<std::unique_ptr<Iterator>> children;
+  for (size_t c = 0; c < mc.children.size(); c++) {
+    children.push_back(std::make_unique<VectorIterator>(mc.children[c],
+                                                        mc.fail_at[c], nexts));
+  }
+  return std::make_unique<MergingIterator<InternalKeyComparator>>(
+      InternalKeyComparator(), std::move(children));
+}
+
+// Drains `it`, checking that each merged Next advances exactly one child.
+MergedEntries Drain(Iterator* it, const int* nexts) {
+  MergedEntries out;
+  while (it->Valid()) {
+    out.emplace_back(it->key().ToString(), it->value().ToString());
+    const int before = *nexts;
+    it->Next();
+    EXPECT_EQ(*nexts, before + 1);
+  }
+  return out;
+}
+
+// After the drain every child has run off its end, so status() carries an
+// error exactly when some child fails somewhere.
+bool AnyChildFails(const MergeCase& mc) {
+  for (size_t c = 0; c < mc.children.size(); c++) {
+    if (mc.fail_at[c] <= mc.children[c].size()) return true;
+  }
+  return false;
+}
+
+TEST(MergingIteratorTest, MatchesStableReferenceMerge) {
+  Random64 rnd(301);
+  for (int trial = 0; trial < 500; trial++) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const MergeCase mc = RandomMergeCase(&rnd);
+    int nexts = 0;
+    auto it = BuildMerge(mc, &nexts);
+    it->SeekToFirst();
+    EXPECT_EQ(Drain(it.get(), &nexts), ReferenceMerge(mc, nullptr));
+    EXPECT_EQ(it->status().ok(), !AnyChildFails(mc));
+
+    for (int s = 0; s < 4; s++) {
+      std::string target;
+      AppendInternalKey(&target, "key" + std::to_string(rnd.Uniform(32)),
+                        rnd.Uniform(5), ValueType::kValue);
+      it->Seek(target);
+      EXPECT_EQ(Drain(it.get(), &nexts), ReferenceMerge(mc, &target));
+      EXPECT_EQ(it->status().ok(), !AnyChildFails(mc));
+    }
+  }
+}
+
+TEST(MergingIteratorTest, EarliestChildWinsTies) {
+  std::string a, b;
+  AppendInternalKey(&a, "a", 5, ValueType::kValue);
+  AppendInternalKey(&b, "b", 5, ValueType::kValue);
+  MergeCase mc;
+  mc.children = {{{b, "first"}}, {{a, "second-a"}, {b, "second"}}, {},
+                 {{b, "fourth"}}};
+  mc.fail_at.assign(4, SIZE_MAX);
+  int nexts = 0;
+  auto it = BuildMerge(mc, &nexts);
+  it->SeekToFirst();
+  const MergedEntries want = {
+      {a, "second-a"}, {b, "first"}, {b, "second"}, {b, "fourth"}};
+  EXPECT_EQ(Drain(it.get(), &nexts), want);
+  it->Seek(b);
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->value().ToString(), "first");
+  EXPECT_TRUE(it->status().ok());
+}
+
+// A child that errors mid-merge drops out of the merge and its error shows
+// in status(); the other children keep merging.
+TEST(MergingIteratorTest, ChildErrorShowsInStatus) {
+  std::string k1, k2, k3;
+  AppendInternalKey(&k1, "k1", 1, ValueType::kValue);
+  AppendInternalKey(&k2, "k2", 1, ValueType::kValue);
+  AppendInternalKey(&k3, "k3", 1, ValueType::kValue);
+  MergeCase mc;
+  mc.children = {{{k1, "x1"}, {k2, "x2"}, {k3, "x3"}}, {{k2, "y2"}}};
+  mc.fail_at = {1, SIZE_MAX};
+  int nexts = 0;
+  auto it = BuildMerge(mc, &nexts);
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->value().ToString(), "x1");
+  EXPECT_TRUE(it->status().ok());
+  it->Next();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->value().ToString(), "y2");
+  EXPECT_TRUE(it->status().IsIOError()) << it->status().ToString();
+  it->Next();
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsIOError());
 }
 
 }  // namespace
